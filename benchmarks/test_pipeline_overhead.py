@@ -4,10 +4,11 @@ Runs quicksort on the RISC I simulator three ways — no pipeline model,
 one probe (the default ``bht2/full`` configuration), and the full
 five-probe experiment sweep — and emits ``BENCH_pipeline.json``.  The
 load-bearing number is the *disabled* path: ``run(uarch=None)`` attaches
-nothing, so the fast engine keeps its batched loop and throughput must
-stay within noise of the plain run.  The probe factors are informational
-(measuring forces the exact per-step loop plus Python accounting per
-retire, so a real slowdown is expected and recorded, not asserted).
+nothing, so the fast engine's batched loop must stay within noise of the
+plain run.  The probe factors are informational: a probe keeps the
+batched loop, which also writes a compact retire stream the models
+account in chunks, so a modest slowdown is expected and recorded, not
+asserted.
 """
 
 import json

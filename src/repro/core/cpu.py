@@ -221,7 +221,8 @@ class CPU:
         configuration, or a :class:`~repro.uarch.config.UarchConfig`);
         the resulting :class:`~repro.uarch.pipeline.PipelineStats` is
         attached as ``result.pipeline``.  Measuring keeps the fast engine
-        on its exact (per-step) loop — the uarch-off path is untouched.
+        on its batched loop, which feeds the model a chunked retire
+        stream; the uarch-off path is untouched.
         """
         import time as _time
 

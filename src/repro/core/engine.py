@@ -27,12 +27,18 @@ differentially on every bundled workload).  Two inner loops keep that
 cheap:
 
 * the **batched** loop runs when no tracer kind is wanted and no
-  ``on_execute`` hook is installed.  Per-word execution counts accumulate
-  in an array and are folded into ``instructions``/``cycles``/
-  ``by_opcode``/``inst_fetches`` when the run leaves the fast path —
-  nothing mid-run can observe the difference;
-* the **exact** loop (any tracing or hook active) updates stats per step
-  so every event timestamp matches the reference loop bit for bit.
+  ``on_execute`` hook is installed — or when the only hook is a pipeline
+  adapter (:mod:`repro.uarch.adapters`) offering a retire sink.  Per-word
+  execution counts accumulate in an array and are folded into
+  ``instructions``/``cycles``/``by_opcode``/``inst_fetches`` when the run
+  leaves the fast path — nothing mid-run can observe the difference.
+  With a sink, each retire also appends one int, ``(pc << shift) | cwp``,
+  to the sink's bounded buffer; window drains are noted where the window
+  can move, and the buffer is handed to the pipeline models every
+  ``chunk_size`` retires, so measuring stays off the per-step hook path;
+* the **exact** loop (any tracing or any other hook active) updates
+  stats per step so every event timestamp matches the reference loop bit
+  for bit.
 
 Rare instructions that need interpreter state the engine does not model
 (``GTLPC``/``CALLINT`` read the previous PC), undecodable words, and
@@ -98,6 +104,8 @@ class PredecodedEngine:
         #: batched-loop execution counts, folded into stats on flush
         self.counts = [0] * size
         self.maps = _window_maps(cpu.regs.num_windows)
+        #: the retire sink the batched loop feeds (see :meth:`run`)
+        self._sink = None
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -146,6 +154,8 @@ class PredecodedEngine:
             self.ops[idx] = inst.opcode
             self.names[idx] = inst.opcode.name
             self.insts[idx] = inst
+            if self._sink is not None:
+                self._sink.note_inst(address, inst)
         return handler
 
     def _make_handler(self, inst: Instruction, pc: int):
@@ -515,26 +525,50 @@ class PredecodedEngine:
             or cpu._trace_window
             or cpu._trace_trap
         )
+        hook = cpu.on_execute
+        sink = None
+        if hook is not None and not traced:
+            batch_sink = getattr(hook, "batch_sink", None)
+            if batch_sink is not None:
+                sink = batch_sink()
         memory = cpu.memory
         previous_watch = memory.write_watch
         memory.write_watch = self._note_write
         try:
-            if traced or cpu.on_execute is not None:
+            if traced or (hook is not None and sink is None):
                 self._run_exact(limit)
             else:
-                self._run_batched(limit)
+                self._sink = sink
+                self._run_batched(limit, sink)
         finally:
+            self._sink = None
             memory.write_watch = previous_watch
 
-    def _run_batched(self, limit: int) -> None:
-        """The no-observer loop: stats are batched per predecoded word."""
+    def _run_batched(self, limit: int, sink=None) -> None:
+        """The no-observer loop: stats are batched per predecoded word.
+
+        With a ``sink`` (a pipeline adapter that is the run's only hook)
+        each retire also appends ``(pc << sink.shift) | cwp`` to
+        ``sink.stream``, flushed whenever it reaches
+        ``sink.chunk_size``; wherever the window can move (a window
+        change, an interrupt, a fallback step) the sink notes any drain
+        and the loop re-reads ``cwp``.
+        """
         cpu = self.cpu
         psw = cpu.psw
+        regs = cpu.regs
         handlers = self.handlers
         counts = self.counts
         base = self.base
         span = self.span
         compile_word = self._compile_word
+        if sink is not None:
+            stream = sink.stream
+            retire = stream.append
+            shift = sink.shift
+            chunk_size = sink.chunk_size
+            note_drain = sink.note_drain
+            cwp = regs.cwp  # moves only where drains are noted
         pc = cpu.pc
         npc = cpu.npc
         last_pc = cpu._last_pc
@@ -552,6 +586,9 @@ class PredecodedEngine:
                         cpu._deliver_interrupt()
                         pc = cpu.pc
                         npc = cpu.npc
+                        if sink is not None:
+                            note_drain()
+                            cwp = regs.cwp
                 offset = pc - base
                 if 0 <= offset < span and not offset & 3:
                     idx = offset >> 2
@@ -564,15 +601,22 @@ class PredecodedEngine:
                     cpu.pc = pc
                     cpu.npc = npc
                     cpu._last_pc = last_pc
-                    cpu.step()
+                    cpu.step()  # feeds a sink through its on_execute hook
                     pc = cpu.pc
                     npc = cpu.npc
                     last_pc = cpu._last_pc
+                    if sink is not None:
+                        note_drain()
+                        cwp = regs.cwp
                     continue
                 pending = cpu._pending
                 if pending is not None:
                     cpu._pending = None
                 fetches += 1
+                if sink is not None:
+                    retire((pc << shift) | cwp)
+                    if len(stream) >= chunk_size:
+                        sink.flush()
                 try:
                     target = handler()
                 except MachineHalted:
@@ -588,6 +632,9 @@ class PredecodedEngine:
                     cpu.pc = pc
                     cpu.npc = npc
                     cpu._apply_window_change(pending)
+                    if sink is not None:
+                        note_drain()
+                        cwp = regs.cwp
                 counts[idx] += 1
                 last_pc = pc
                 if target is None:

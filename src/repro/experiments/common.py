@@ -29,10 +29,12 @@ from repro.farm.api import JobSpec, shared_client
 from repro.farm.jobs import workload_source
 from repro.obs.ledger import ledger_context
 from repro.obs.metrics import MetricsRegistry, record_machine_run
+from repro.uarch import run_with_pipeline, standard_sweep
 from repro.workloads import ALL_WORKLOADS
 
 __all__ = [
     "CISC_CYCLE_NS",
+    "PIPELINE_SWEEP",
     "RISC_CYCLE_NS",
     "cisc_ms",
     "compiled",
@@ -40,6 +42,7 @@ __all__ = [
     "executed",
     "ir_profile",
     "metrics_registry",
+    "pipelined",
     "profiled",
     "risc_ms",
     "traced_run",
@@ -127,6 +130,33 @@ def traced_run(name: str, scale: str = "default", num_windows: int = 8):
     with ledger_context(workload=name, scale=scale, source="experiments"):
         result = cpu.run(max_steps=500_000_000)
     return cpu, result
+
+
+#: the pipeline sweep :func:`pipelined` measures; label -> config, in
+#: display order
+PIPELINE_SWEEP = {config.label: config for config in standard_sweep()}
+
+
+@functools.lru_cache(maxsize=None)
+def pipelined(name: str, target: str, scale: str = "default"):
+    """One architectural run of a workload, probed by the whole sweep.
+
+    Returns ``{config label: PipelineStats}`` over
+    :data:`PIPELINE_SWEEP`.  Not farm-cached, because the probes need
+    the live machine (the retired-instruction hook is not a storable
+    artifact); the L1 entry lets every experiment reading a workload's
+    pipeline stats share the one run.
+    """
+    from repro.baselines.vax.cpu import VaxCPU
+
+    program = compiled(name, target, scale)
+    cpu = CPU() if target == "risc1" else VaxCPU()
+    cpu.load(program.program)
+    with ledger_context(workload=name, scale=scale, source="experiments"):
+        _, stats = run_with_pipeline(
+            cpu, list(PIPELINE_SWEEP.values()), max_steps=500_000_000
+        )
+    return dict(zip(PIPELINE_SWEEP, stats))
 
 
 def risc_ms(cycles: int) -> float:

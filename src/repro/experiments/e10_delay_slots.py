@@ -37,12 +37,12 @@ def run(scale: str = "default") -> Table:
     base = UarchConfig()
     for name in BENCHMARK_SUITE:
         source = common.workload_source(name, scale)
-        optimized = compile_program(source, target="risc1", fill_delay_slots=True)
+        optimized = common.compiled(name, "risc1", scale)
         raw = compile_program(source, target="risc1", fill_delay_slots=False)
         run_optimized = common.executed(name, "risc1", scale)
-        # live re-runs under the pipeline probe: the farm result carries
-        # no pipeline stats, and the raw compile must run anyway
-        pipe_optimized = run_compiled(optimized, max_steps=500_000_000, uarch=base)
+        # the optimized build's pipeline stats come from the shared sweep
+        # run; only the unoptimized build runs live
+        pipe_optimized = common.pipelined(name, "risc1", scale)[base.label]
         run_raw = run_compiled(raw, max_steps=500_000_000, uarch=base)
         expected = ALL_WORKLOADS[name].expected_output(
             **(ALL_WORKLOADS[name].bench_params if scale == "bench" else {})
@@ -56,7 +56,7 @@ def run(scale: str = "default") -> Table:
             1 - run_optimized.stats.cycles / run_raw.stats.cycles
         )
         pipe_saved = 100.0 * (
-            1 - pipe_optimized.pipeline.cycles / run_raw.pipeline.cycles
+            1 - pipe_optimized.cycles / run_raw.pipeline.cycles
         )
         table.add_row(
             name,

@@ -7,8 +7,8 @@ reports, for both machines:
 
 * CPI under the standard sweep — three branch predictors at full
   bypassing, then the degraded forwarding matrices under the base
-  predictor (one architectural run per workload per machine; the
-  adapters fan each retired instruction out to every probe);
+  predictor (one architectural run per workload per machine, shared
+  with E10 through :func:`repro.experiments.common.pipelined`);
 * the stall-cycle anatomy at the base configuration (``bht2/full``):
   RAW, load-use, control, window-handler and structural bubbles as a
   fraction of model cycles, plus predictor accuracy and delay-slot fill.
@@ -23,59 +23,32 @@ there while winning on the suite aggregate.
 
 from __future__ import annotations
 
-import functools
-
 from repro.analysis.report import Table, geometric_mean
 from repro.experiments import common
-from repro.obs.ledger import ledger_context
-from repro.uarch import UarchConfig, run_with_pipeline, standard_sweep
+from repro.uarch import UarchConfig
 from repro.workloads import BENCHMARK_SUITE
 
-#: the sweep every table here reads; label -> config, in display order
-_SWEEP = {config.label: config for config in standard_sweep()}
 _BASE = UarchConfig().label
-
-
-@functools.lru_cache(maxsize=None)
-def measured(name: str, target: str, scale: str = "default"):
-    """One architectural run of a workload, probed by the whole sweep.
-
-    Returns ``{config label: PipelineStats}``.  L1-cached per process
-    like the other experiment measurements; not farm-cached, because the
-    probes need the live machine (the retired-instruction hook is not a
-    storable artifact).
-    """
-    from repro.baselines.vax.cpu import VaxCPU
-    from repro.core.cpu import CPU
-
-    program = common.compiled(name, target, scale)
-    cpu = CPU() if target == "risc1" else VaxCPU()
-    cpu.load(program.program)
-    with ledger_context(workload=name, scale=scale, source="experiments"):
-        _, stats = run_with_pipeline(
-            cpu, list(_SWEEP.values()), max_steps=500_000_000
-        )
-    return dict(zip(_SWEEP, stats))
 
 
 def _cpi_table(target: str, title: str, scale: str) -> Table:
     table = Table(
         title=title,
-        headers=["program"] + list(_SWEEP) + ["bht2 acc %"],
+        headers=["program"] + list(common.PIPELINE_SWEEP) + ["bht2 acc %"],
     )
-    columns: dict[str, list[float]] = {label: [] for label in _SWEEP}
+    columns: dict[str, list[float]] = {label: [] for label in common.PIPELINE_SWEEP}
     for name in BENCHMARK_SUITE:
-        stats = measured(name, target, scale)
-        for label in _SWEEP:
+        stats = common.pipelined(name, target, scale)
+        for label in common.PIPELINE_SWEEP:
             columns[label].append(stats[label].cpi)
         table.add_row(
             name,
-            *(stats[label].cpi for label in _SWEEP),
+            *(stats[label].cpi for label in common.PIPELINE_SWEEP),
             100.0 * stats[_BASE].predictor_accuracy,
         )
     table.add_row(
         "geometric mean",
-        *(geometric_mean(columns[label]) for label in _SWEEP),
+        *(geometric_mean(columns[label]) for label in common.PIPELINE_SWEEP),
         "",
     )
     return table
@@ -99,7 +72,7 @@ def _stall_table(scale: str) -> Table:
     )
     for name in BENCHMARK_SUITE:
         for target, machine in (("risc1", "RISC I"), ("cisc", "VAX-like")):
-            stats = measured(name, target, scale)[_BASE]
+            stats = common.pipelined(name, target, scale)[_BASE]
             breakdown = stats.stall_breakdown()
             pct = {
                 kind: 100.0 * cycles / stats.cycles

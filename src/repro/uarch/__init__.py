@@ -4,8 +4,9 @@ A cycle-accounting microarchitectural layer over the architectural
 simulators: RAW hazards against a configurable forwarding matrix,
 load-use interlocks, delayed-branch slot accounting, register-window
 drain cycles, and pluggable branch predictors with misprediction flush
-costs.  It observes the retired-instruction stream through the machines'
-per-instruction hooks and never executes anything itself — semantics
+costs.  It observes the retired-instruction stream — written in chunks
+by the RISC I fast engine's batched loop, or through the machines'
+per-instruction hooks — and never executes anything itself: semantics
 stay in one place, and the engine differential harness remains the
 correctness gate.
 

@@ -1,9 +1,12 @@
 """Multi-configuration measurement harness for the pipeline model.
 
 Comparing N pipeline configurations needs only one architectural run:
-the adapters fan each retired instruction out to every attached model,
-so a predictor × forwarding sweep costs one simulation plus N cheap
-accounting passes — the shape every pipeline experiment here uses.
+the adapters hand each chunk of the retired stream to every attached
+model, and the models share whatever does not depend on their
+configuration (branch outcomes, each predictor's verdicts, delay slots,
+drains), so a predictor × forwarding sweep costs one simulation plus
+little more than one accounting pass — the shape every pipeline
+experiment here uses.
 """
 
 from __future__ import annotations

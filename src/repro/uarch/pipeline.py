@@ -47,19 +47,82 @@ paper's own three-stage machine grown to the textbook five stages):
 Condition codes are assumed always forwarded (the PSW bits ride the
 ALU's bypass paths for free in all three matrices); only register
 operands create hazards.
+
+**How the accounting is computed.**  The model consumes the retired
+stream in chunks of :data:`CHUNK` instructions (:class:`RetireChunk`),
+each entry a flat :func:`retired` tuple the adapter classified once per
+distinct instruction.  Most of the books depend on the stream alone, so
+:class:`RetireStream` keeps them once per run and every probe of that
+run shares them: delay-slot scoring, branch outcomes, memory-op counts,
+window drains, and each predictor's verdicts (computed once per
+predictor, so ``control = penalty × mispredicts``).  Structural stalls
+follow from the occupancies, and ``cycles = instructions + stalls +
+depth - 1``.  Only the RAW timeline is per configuration, and it is
+walked only where it can bind: with ALU latency 1 every consumer issues
+at or after its producer's result (the producer's own occupancy already
+separates them), and a load whose latency does not exceed the memory
+port's occupancy is covered the same way — so raw and load-use stalls
+are provably 0 and ``bht2/full`` on RISC I walks nothing.  A walk goes
+block by block, and since only the last two issues can stall anyone, a
+block's stalls depend on the block and a small entry context: each
+(context, block) pair is issued once per run and replayed.  A tracer
+that wants ``PIPE_STALL`` events also walks, issuing every block, since
+the events' timestamps need the issue frontier.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import operator
+import re
 
 from repro.obs.events import EventKind
 from repro.uarch.config import UarchConfig
 from repro.uarch.predictors import make_predictor
 
-__all__ = ["PipelineModel", "PipelineStats", "STALL_KINDS"]
+__all__ = [
+    "CHUNK",
+    "PipelineModel",
+    "PipelineStats",
+    "RetireChunk",
+    "RetireStream",
+    "STALL_KINDS",
+    "retired",
+]
+
+#: retired instructions per chunk handed to the models; bounds the
+#: adapters' stream buffers
+CHUNK = 4096
+
+#: :func:`retired` flag bits
+DELAYED = 1
+CONDITIONAL = 2
+NOP = 4
+
+#: flag byte -> the letter a chunk scan matches: ``C`` a conditional
+#: delayed transfer, ``D`` another delayed one, ``c`` a conditional
+#: without a slot, ``N`` the slot-filling nop, ``.`` anything else
+_SCAN_LETTERS = bytes(
+    ord(
+        "C" if flags & DELAYED and flags & CONDITIONAL
+        else "D" if flags & DELAYED
+        else "c" if flags & CONDITIONAL
+        else "N" if flags & NOP
+        else "."
+    )
+    for flags in range(256)
+)
+_CONDITIONALS = re.compile(rb"[Cc]")
+#: the letters after which a new block starts: past a delay slot, or
+#: right after a conditional branch without one
+_BLOCK_ENDS = re.compile(rb"[CDc]")
+_FLAGS = operator.itemgetter(5)
 
 #: RAW latencies (ALU, load) per forwarding mode, in EX-to-EX cycles.
+#: None exceeds 3, and every instruction holds EX for at least a cycle,
+#: so only the last two issues can ever stall a consumer — the walk's
+#: block context (see :meth:`PipelineModel._issue`) relies on it.
 _LATENCIES = {
     "none": (3, 3),
     "ex": (1, 3),
@@ -173,145 +236,458 @@ class PipelineStats:
         return "\n".join(lines)
 
 
-class PipelineModel:
-    """Cycle accounting for one run, fed one retired instruction at a time.
+def retired(
+    pc: int,
+    reads: tuple = (),
+    writes: tuple = (),
+    *,
+    is_load: bool = False,
+    is_mem: bool = False,
+    delayed: bool = False,
+    conditional: bool = False,
+    static_target: int | None = None,
+    fallthrough: int | None = None,
+    is_nop: bool = False,
+) -> tuple:
+    """One retired instruction as the model reads it, as a flat tuple.
 
-    Adapters (:mod:`repro.uarch.adapters`) translate each machine's
-    retired stream into :meth:`observe` calls using abstract register
-    ids (physical indices for RISC I so window overlap aliases
-    correctly, architectural numbers for the VAX).  The model never
-    touches machine state.
+    ``reads``/``writes`` are abstract register ids (physical indices for
+    RISC I so window overlap aliases correctly, architectural numbers
+    for the VAX); ``is_mem`` marks a load or store, which holds the
+    memory port for ``mem_port_cycles``; ``delayed`` marks a control
+    transfer with a delay slot; ``conditional`` opts the transfer into
+    branch prediction, its outcome read from the retired PC stream (taken
+    iff the resolving retire is not at ``fallthrough``); ``is_nop`` marks
+    the canonical slot filler.  Adapters build one per distinct
+    instruction and reuse it for every retire.
+    """
+    flags = (
+        (DELAYED if delayed else 0)
+        | (CONDITIONAL if conditional else 0)
+        | (NOP if is_nop else 0)
+    )
+    return (reads, writes, is_load, is_mem, pc, flags, static_target, fallthrough)
+
+
+class _PredictorTrack:
+    """One predictor's verdicts on a run's resolved branches, in order."""
+
+    def __init__(self, config: UarchConfig):
+        self.predictor = make_predictor(config)
+        #: predicted but not yet updated: (resolve position, pc, taken)
+        self._queue: collections.deque = collections.deque()
+
+    def verdicts(self, resolved: list, base: int) -> tuple[int, list]:
+        """``(hits, misses)`` for ``resolved`` branches, in stream order.
+
+        A branch is predicted at its own position and trains the
+        predictor at its resolution, so each prediction sees exactly the
+        updates of branches resolved at or before it.  ``misses`` holds
+        ``(chunk position of the resolution, branch pc)``.
+        """
+        predict = self.predictor.predict
+        update = self.predictor.update
+        queue = self._queue
+        hits = 0
+        misses = []
+        for position, resolve_at, pc, target, taken in resolved:
+            while queue and queue[0][0] <= position:
+                _, earlier_pc, earlier_taken = queue.popleft()
+                update(earlier_pc, earlier_taken)
+            if predict(pc, target) == taken:
+                hits += 1
+            else:
+                misses.append((resolve_at - base, pc))
+            queue.append((resolve_at, pc, taken))
+        return hits, misses
+
+
+class RetireStream:
+    """One run's retired stream, cut into :class:`RetireChunk` objects.
+
+    Holds what carries across chunk boundaries — the open delay slot,
+    branches still waiting for their resolving retire, each predictor's
+    state — so no number depends on where the cuts fall.
+    ``resolve_after`` is the distance in retires from a conditional
+    branch to the retire that reveals its outcome (2 behind a delay
+    slot: the slot, then the resolved path; 1 without); ``has_loads``
+    says whether any entry can be a load.
+    """
+
+    def __init__(self, resolve_after: int, has_loads: bool):
+        self.resolve_after = resolve_after
+        self.has_loads = has_loads
+        #: bumped whenever the adapter drops classifications (self-modifying
+        #: code): the models' block memos key on the entries' identity
+        self.generation = 0
+        #: stream position of the next chunk's first entry
+        self._base = 0
+        #: the previous chunk's last scan letter (its slot may open this one)
+        self._carry = b""
+        #: conditional branches awaiting their outcome, in stream order:
+        #: (position, pc, static target, fall-through)
+        self._open: list = []
+        self._tracks: dict = {}
+
+    def chunk(self, entries: list, occupancy: list | None = None, drains=()) -> "RetireChunk":
+        """Account the next ``entries`` (:func:`retired` tuples) once.
+
+        ``occupancy`` gives each entry's measured EX/MEM cycles (the
+        VAX's microcode); without it a memory op holds the port for
+        ``mem_port_cycles`` and anything else for one cycle.  ``drains``
+        are ``(chunk position, cycles)`` window-handler drains, charged
+        before the entry at that position.
+        """
+        base = self._base
+        count = len(entries)
+        # one letter per entry, after the carried one: every delayed
+        # transfer but the last letter has its slot here
+        carry = self._carry
+        scan = carry + bytes(map(_FLAGS, entries)).translate(_SCAN_LETTERS)
+        self._carry = scan[-1:]
+        head = scan[:-1]
+        slots = head.count(b"D") + head.count(b"C")
+        nops = scan.count(b"DN") + scan.count(b"CN")
+        opened = self._open
+        start = base - len(carry)
+        for match in _CONDITIONALS.finditer(scan, len(carry)):
+            position = match.start()
+            entry = entries[position - len(carry)]
+            opened.append((start + position, entry[4], entry[6], entry[7]))
+
+        # a branch at p resolves here if its resolving retire p + k is in
+        # this chunk; the open list is in stream order, so those come first
+        reach = base + count - self.resolve_after
+        resolved = []
+        taken = 0
+        for done, (position, pc, target, fallthrough) in enumerate(opened):
+            if position >= reach:
+                break
+            resolve_at = position + self.resolve_after
+            outcome = entries[resolve_at - base][4] != fallthrough
+            taken += outcome
+            resolved.append((position, resolve_at, pc, target, outcome))
+        else:
+            done = len(opened)
+        del opened[:done]
+        self._base = base + count
+        return RetireChunk(
+            self, base, entries, occupancy, list(drains), slots, nops, resolved, taken,
+            len(opened), scan[len(carry):],
+        )
+
+    def _track(self, config: UarchConfig) -> _PredictorTrack:
+        key = (config.predictor, config.bht_entries)
+        track = self._tracks.get(key)
+        if track is None:
+            track = self._tracks[key] = _PredictorTrack(config)
+        return track
+
+
+class RetireChunk:
+    """A chunk of the retired stream with its configuration-free books.
+
+    Made by :meth:`RetireStream.chunk`; every model probing the run
+    reads the same chunk, and whatever one configuration axis needs
+    (occupancies per memory-port width, verdicts per predictor) is
+    computed by the first model that asks and reused by the rest.
+    """
+
+    __slots__ = (
+        "stream", "base", "entries", "drains", "instructions", "window_cycles",
+        "delay_slots", "delay_slot_nops", "branches", "branches_taken", "unresolved",
+        "_measured", "_measured_extra", "_mem_ops", "_by_port", "_resolved", "_verdicts",
+        "_letters", "_blocks", "_ids",
+    )
+
+    def __init__(self, stream, base, entries, occupancy, drains, delay_slots,
+                 delay_slot_nops, resolved, branches_taken, unresolved, letters):
+        self.stream = stream
+        self.base = base
+        self.entries = entries
+        self.drains = drains
+        self.instructions = len(entries)
+        self.window_cycles = sum(cycles for _, cycles in drains)
+        self.delay_slots = delay_slots
+        self.delay_slot_nops = delay_slot_nops
+        self.branches = len(resolved)
+        self.branches_taken = branches_taken
+        #: conditional branches still awaiting their outcome after this chunk
+        self.unresolved = unresolved
+        self._measured = occupancy
+        self._measured_extra = sum(occupancy) - len(entries) if occupancy is not None else 0
+        self._mem_ops = None
+        self._by_port: dict = {}
+        self._resolved = resolved
+        self._verdicts: dict = {}
+        #: one scan letter per entry (see ``_SCAN_LETTERS``)
+        self._letters = letters
+        self._blocks = None
+        self._ids = None
+
+    def occupancy(self, mem_port_cycles: int) -> list:
+        """Each entry's EX/MEM cycles under a ``mem_port_cycles`` port."""
+        if self._measured is not None:
+            return self._measured
+        cycles = self._by_port.get(mem_port_cycles)
+        if cycles is None:
+            cycles = self._by_port[mem_port_cycles] = [
+                mem_port_cycles if entry[3] else 1 for entry in self.entries
+            ]
+        return cycles
+
+    def structural_stalls(self, mem_port_cycles: int) -> int:
+        """Extra EX/MEM occupancy beyond one cycle per instruction."""
+        if self._measured is not None:
+            return self._measured_extra
+        if self._mem_ops is None:
+            self._mem_ops = sum(map(operator.itemgetter(3), self.entries))
+        return self._mem_ops * (mem_port_cycles - 1)
+
+    def block_starts(self) -> set:
+        """Positions where a block starts: the chunk start, past every
+        delay slot or slotless conditional branch, and every drain."""
+        if self._blocks is None:
+            count = self.instructions
+            starts = {0}
+            starts.update(position for position, _ in self.drains)
+            for match in _BLOCK_ENDS.finditer(self._letters):
+                start = match.end() + (0 if match.group() == b"c" else 1)
+                if start < count:
+                    starts.add(start)
+            self._blocks = starts
+        return self._blocks
+
+    def memo_keys(self) -> tuple:
+        """What a block memo keys on, per entry: ``(identities, measured
+        occupancies or None)``."""
+        if self._ids is None:
+            measured = self._measured
+            self._ids = (
+                tuple(map(id, self.entries)),
+                tuple(measured) if measured is not None else None,
+            )
+        return self._ids
+
+    def verdicts(self, config: UarchConfig) -> tuple[int, list]:
+        """``(hits, misses)`` of ``config``'s predictor on this chunk's
+        resolved branches; misses are ``(chunk position, branch pc)``."""
+        key = (config.predictor, config.bht_entries)
+        verdicts = self._verdicts.get(key)
+        if verdicts is None:
+            verdicts = self._verdicts[key] = self.stream._track(config).verdicts(
+                self._resolved, self.base
+            )
+        return verdicts
+
+
+def _context(writes_1, load_1, ready_1, writes_2, load_2, ready_2) -> tuple:
+    """A canonical issue context: a producer that can no longer stall
+    anyone (result ready by now, or nothing written) is dropped."""
+    if ready_1 <= 0 or not writes_1:
+        writes_1, load_1, ready_1 = (), False, 0
+    if ready_2 <= 0 or not writes_2:
+        writes_2, load_2, ready_2 = (), False, 0
+    return (writes_1, load_1, ready_1, writes_2, load_2, ready_2)
+
+
+_NO_CONTEXT = _context((), False, 0, (), False, 0)
+
+
+def _shifted(context: tuple, cycles: int) -> tuple:
+    """``context`` after the frontier moved ``cycles`` ahead."""
+    writes_1, load_1, ready_1, writes_2, load_2, ready_2 = context
+    return _context(
+        writes_1, load_1, ready_1 - cycles, writes_2, load_2, ready_2 - cycles
+    )
+
+
+class PipelineModel:
+    """Cycle accounting for one configuration over one run.
+
+    Fed :class:`RetireChunk` objects in stream order through
+    :meth:`consume` — the adapters (:mod:`repro.uarch.adapters`) cut
+    them from a machine's retired stream — and closed by
+    :meth:`finalize`.  The model never touches machine state.
     """
 
     def __init__(self, config: UarchConfig | None = None, machine: str = "risc1",
                  tracer=None):
         self.config = config or UarchConfig()
         self.machine = machine
-        self.predictor = make_predictor(self.config)
         self.stats = PipelineStats(machine=machine, config=self.config.to_dict())
         self._alu_lat, self._load_lat = _LATENCIES[self.config.forwarding]
-        #: EX cycle of the previous issue; first instruction's EX is 2
-        self._next_free = 2
-        self._issued = 0
-        #: reg id -> (producer EX cycle, producer was a load)
-        self._avail: dict[int, tuple[int, bool]] = {}
-        #: unresolved conditional branches: [retires left, pc, predicted
-        #: taken, fall-through pc]
-        self._pending: list[list] = []
-        self._in_delay_slot = False
         self._tracer = tracer
         self._trace_stall = tracer is not None and tracer.wants(EventKind.PIPE_STALL)
+        #: the RAW timeline, kept only by a model that walks it: the EX
+        #: cycle the next instruction may issue at (the first one's is
+        #: 2), and the context of the last two issues (see :meth:`_issue`)
+        self._next_free = 2
+        self._context = _NO_CONTEXT
+        #: (context, block's memo keys) -> what issuing the block does
+        self._memo: dict = {}
+        self._memo_generation = 0
+        self._unresolved = 0
+
+    @property
+    def traces_stalls(self) -> bool:
+        """Whether this model emits ``PIPE_STALL`` tracer events."""
+        return self._trace_stall
+
+    def _walks(self, stream: RetireStream) -> bool:
+        """Whether this model must walk the RAW timeline of ``stream``.
+
+        With ALU latency 1 a consumer always issues at or after its
+        producer's result, and so does a load's consumer when the load
+        latency does not exceed the memory port's occupancy: raw and
+        load-use stalls are then 0 without looking.  Traced stalls need
+        the issue frontier for their timestamps.
+        """
+        return (
+            self._trace_stall
+            or self._alu_lat > 1
+            or (stream.has_loads and self._load_lat > self.config.mem_port_cycles)
+        )
 
     # -- feeding -----------------------------------------------------------
 
-    def note_window_cycles(self, cycles: int) -> None:
-        """Charge a window overflow/underflow handler's drain cycles."""
-        if cycles > 0:
-            self._next_free += cycles
-            self.stats.window_stalls += cycles
-            if self._trace_stall:
-                self._tracer.pipe_stall(self._next_free, 0, "window", cycles)
-
-    def observe(
-        self,
-        pc: int,
-        reads: tuple,
-        writes: tuple,
-        *,
-        is_load: bool = False,
-        occupancy: int = 1,
-        delayed: bool = False,
-        conditional: bool = False,
-        static_target: int | None = None,
-        fallthrough: int | None = None,
-        resolve_after: int = 2,
-        is_nop: bool = False,
-    ) -> None:
-        """Account one retired instruction.
-
-        ``reads``/``writes`` are abstract register ids; ``occupancy`` is
-        the EX/MEM cycles the instruction holds the pipe (loads/stores
-        hold the memory port, VAX instructions their microcode);
-        ``delayed`` marks a control transfer with a delay slot;
-        ``conditional`` opts the transfer into branch prediction, with
-        the outcome read from the retired PC stream ``resolve_after``
-        retires later (2 for delayed-branch machines: slot, then the
-        resolved-path instruction).
-        """
+    def consume(self, chunk: RetireChunk) -> None:
+        """Account one chunk of the retired stream."""
+        config = self.config
         stats = self.stats
-        stats.instructions += 1
+        hits, misses = chunk.verdicts(config)
+        stats.instructions += chunk.instructions
+        stats.branches += chunk.branches
+        stats.branches_taken += chunk.branches_taken
+        stats.branch_hits += hits
+        stats.control_stalls += config.mispredict_penalty * len(misses)
+        stats.window_stalls += chunk.window_cycles
+        stats.structural_stalls += chunk.structural_stalls(config.mem_port_cycles)
+        stats.delay_slots += chunk.delay_slots
+        stats.delay_slot_nops += chunk.delay_slot_nops
+        stats.delay_slots_filled += chunk.delay_slots - chunk.delay_slot_nops
+        self._unresolved = chunk.unresolved
+        if self._walks(chunk.stream):
+            self._walk(chunk, misses)
 
-        # resolve conditional branches whose outcome this pc reveals
-        if self._pending:
-            still = []
-            for entry in self._pending:
-                entry[0] -= 1
-                if entry[0] > 0:
-                    still.append(entry)
-                    continue
-                taken = pc != entry[3]
-                self.predictor.update(entry[1], taken)
-                stats.branches += 1
-                if taken:
-                    stats.branches_taken += 1
-                if entry[2] == taken:
-                    stats.branch_hits += 1
-                else:
-                    penalty = self.config.mispredict_penalty
-                    self._next_free += penalty
-                    stats.control_stalls += penalty
-                    if self._trace_stall and penalty:
-                        self._tracer.pipe_stall(self._next_free, entry[1], "control", penalty)
-            self._pending = still
+    def _walk(self, chunk: RetireChunk, misses: list) -> None:
+        """Issue the chunk block by block: RAW stalls.
 
-        # delayed-branch slot accounting
-        if self._in_delay_slot:
-            self._in_delay_slot = False
-            stats.delay_slots += 1
-            if is_nop:
-                stats.delay_slot_nops += 1
+        A block's stalls depend only on its entries and the context it
+        starts from, so an untraced model memoizes each (context, block)
+        pair and replays it; a traced one issues every block for its
+        event timestamps.
+        """
+        entries = chunk.entries
+        occupancy = chunk.occupancy
+        mem_port_cycles = self.config.mem_port_cycles
+        penalty = self.config.mispredict_penalty
+        # the frontier moves before the entry at an event's position:
+        # window drains first (noted as that entry's hook fires), then
+        # the flushes of branches it resolves as mispredicted
+        events: dict = {}
+        for position, cycles in chunk.drains:
+            events.setdefault(position, []).append(("window", cycles, 0))
+        if penalty:
+            for position, pc in misses:
+                events.setdefault(position, []).append(("control", penalty, pc))
+        starts = sorted(chunk.block_starts().union(events))
+        starts.append(len(entries))
+        tracer = self._tracer if self._trace_stall else None
+        if tracer is None:
+            if self._memo_generation != chunk.stream.generation:
+                self._memo.clear()
+                self._memo_generation = chunk.stream.generation
+            memo = self._memo
+            ids, measured = chunk.memo_keys()
+        issue = self._issue
+        context = self._context
+        next_free = self._next_free
+        raw = load_use = 0
+        for start, end in zip(starts, starts[1:]):
+            if start in events:
+                for cause, cycles, pc in events[start]:
+                    next_free += cycles
+                    context = _shifted(context, cycles)
+                    if tracer is not None:
+                        tracer.pipe_stall(next_free, pc, cause, cycles)
+            if tracer is not None:
+                outcome = issue(
+                    context, entries[start:end],
+                    occupancy(mem_port_cycles)[start:end], next_free,
+                )
             else:
-                stats.delay_slots_filled += 1
-
-        # RAW hazards against the forwarding matrix
-        earliest = self._next_free
-        ex = earliest
-        if reads:
-            avail = self._avail
-            binding_load = False
-            for reg in reads:
-                producer = avail.get(reg)
-                if producer is None:
-                    continue
-                ready = producer[0] + (self._load_lat if producer[1] else self._alu_lat)
-                if ready > ex:
-                    ex = ready
-                    binding_load = producer[1]
-            stall = ex - earliest
-            if stall:
-                if binding_load:
-                    stats.load_use_stalls += stall
-                else:
-                    stats.raw_stalls += stall
-                if self._trace_stall:
-                    self._tracer.pipe_stall(
-                        ex, pc, "load_use" if binding_load else "raw", stall
+                key = (context, ids[start:end])
+                if measured is not None:
+                    key += (measured[start:end],)
+                outcome = memo.get(key)
+                if outcome is None:
+                    outcome = memo[key] = issue(
+                        context, entries[start:end], occupancy(mem_port_cycles)[start:end]
                     )
+            block_raw, block_load_use, advance, context = outcome
+            raw += block_raw
+            load_use += block_load_use
+            next_free += advance
+        self._context = context
+        self._next_free = next_free
+        self.stats.raw_stalls += raw
+        self.stats.load_use_stalls += load_use
 
-        # issue: occupy EX/MEM for this instruction's cycles
-        self._issued += 1
-        self._next_free = ex + occupancy
-        if occupancy > 1:
-            stats.structural_stalls += occupancy - 1
+    def _issue(self, context: tuple, entries: list, occupancy: list, base=None) -> tuple:
+        """Issue one block from ``context``, in cycles from its start.
 
-        for reg in writes:
-            self._avail[reg] = (ex, is_load)
-
-        if delayed:
-            self._in_delay_slot = True
-        if conditional:
-            predicted = self.predictor.predict(pc, static_target)
-            self._pending.append([resolve_after, pc, predicted, fallthrough])
+        ``context`` is ``(writes, from a load, result ready)`` of the
+        last issue and of the one before it (its writes minus the last
+        one's), readiness relative to the block's first issue cycle.
+        Older producers cannot bind: at latency ≤ 3, two intervening
+        issues of at least a cycle each cover them.  Returns ``(raw,
+        load-use, cycles advanced, exit context)``; with ``base`` (the
+        block's absolute first issue cycle) stalls are traced.
+        """
+        writes_1, load_1, ready_1, writes_2, load_2, ready_2 = context
+        ready = {}
+        for reg in writes_2:
+            ready[reg] = (ready_2, load_2)
+        for reg in writes_1:
+            ready[reg] = (ready_1, load_1)
+        alu_lat = self._alu_lat
+        load_lat = self._load_lat
+        tracer = self._tracer if base is not None else None
+        last = (writes_1, load_1, ready_1)
+        before = (writes_2, load_2, ready_2)
+        next_free = 0
+        raw = load_use = 0
+        for entry, occupied in zip(entries, occupancy):
+            reads, writes, is_load, _, pc, _, _, _ = entry
+            ex = next_free
+            for reg in reads:
+                producer = ready.get(reg)
+                if producer is not None and producer[0] > ex:
+                    ex, binding_load = producer
+            if ex > next_free:
+                stall = ex - next_free
+                if binding_load:
+                    load_use += stall
+                else:
+                    raw += stall
+                if tracer is not None:
+                    tracer.pipe_stall(
+                        base + ex, pc, "load_use" if binding_load else "raw", stall
+                    )
+            next_free = ex + occupied
+            result_at = ex + (load_lat if is_load else alu_lat)
+            for reg in writes:
+                ready[reg] = (result_at, is_load)
+            before = last
+            last = (writes, is_load, result_at)
+        writes_1, load_1, ready_1 = last
+        exit_context = _context(
+            writes_1, load_1, ready_1 - next_free,
+            tuple(reg for reg in before[0] if reg not in writes_1),
+            before[1], before[2] - next_free,
+        )
+        return raw, load_use, next_free, exit_context
 
     # -- finishing ---------------------------------------------------------
 
@@ -319,16 +695,14 @@ class PipelineModel:
         """Close the run and return the finished :class:`PipelineStats`.
 
         Branches whose outcome the halt cut off are counted as
-        unresolved, not guessed.
+        unresolved, not guessed.  Every issue slot, stall and flush
+        moves the last instruction's exit by one cycle, and the pipe
+        takes ``depth - 1`` cycles to fill.
         """
         stats = self.stats
-        stats.branches_unresolved = len(self._pending)
-        self._pending = []
-        if self._issued:
+        stats.branches_unresolved = self._unresolved
+        if stats.instructions:
             depth = self.config.depth
             stats.fill_cycles = depth - 1
-            # last EX cycle was _next_free - occupancy; the last
-            # instruction leaves the pipe (depth - 2) cycles after its
-            # EX-completion cycle, and cycle indices start at 0
-            stats.cycles = self._next_free + depth - 3
+            stats.cycles = stats.instructions + stats.stall_cycles + depth - 1
         return stats

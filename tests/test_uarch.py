@@ -267,11 +267,13 @@ class TestBranches:
         """A branch whose resolving retire never arrives is counted as
         unresolved, not guessed (model-level: the ``halt`` pseudo always
         expands to enough retires to resolve in real programs)."""
-        from repro.uarch import PipelineModel
+        from repro.uarch.pipeline import PipelineModel, RetireStream, retired
 
         model = PipelineModel(UarchConfig())
-        model.observe(0x1000, (), (), delayed=True, conditional=True, fallthrough=0x1008)
-        model.observe(0x1004, (), ())  # the slot; then the run halts
+        stream = RetireStream(resolve_after=2, has_loads=True)
+        branch = retired(0x1000, delayed=True, conditional=True, fallthrough=0x1008)
+        slot = retired(0x1004)  # the slot; then the run halts
+        model.consume(stream.chunk([branch, slot]))
         stats = model.finalize()
         assert stats.branches_unresolved == 1
         assert stats.branches == 0
