@@ -21,6 +21,7 @@ from repro.baselines.vax.isa import (
     Mode,
     SP,
     VaxOpcodeInfo,
+    decode,
 )
 from repro.baselines.vax.timing import VaxTiming
 from repro.core.api import (
@@ -156,7 +157,6 @@ class VaxCPU:
         timing: VaxTiming | None = None,
         tracer=None,
         metrics=None,
-        decode_cache: bool = True,
     ):
         # real VAX permits unaligned operands, so no alignment trap here
         self.memory = Memory(memory_size, check_alignment=False)
@@ -172,21 +172,14 @@ class VaxCPU:
         self._console: list[str] = []
         self._depth = 1
         self._stack_top = memory_size - 16
-        #: pc -> (info, length, cycles, operand evaluators, branch_disp):
-        #: the parse of one instruction, reusable because specifier bytes
-        #: are immutable until something writes over them (watched below).
-        #: Operand *values* are not cached — the evaluators re-read
-        #: registers and apply autoincrement/autodecrement per execution.
-        self._decode_cache: dict = {}
-        self._use_cache = decode_cache
-        #: Optional per-instruction hook ``fn(pc, info, operands,
-        #: branch_disp)``, fired after operand evaluation and before
-        #: execution — identically on both engine paths (there is one
-        #: step loop).  The pipeline timing model hangs off this.
+        #: Optional per-instruction hook ``fn(pc, inst)`` with ``inst`` the
+        #: :class:`~repro.baselines.vax.isa.VaxInstruction` at ``pc``,
+        #: fired after operand evaluation and before execution — at the
+        #: same point by ``step()`` and the fast engine's exact loop.  The
+        #: pipeline timing model hangs off this.
         self.on_execute = None
-        self._cache_lo = memory_size  # lowest cached instruction byte
-        self._cache_hi = 0  # one past the highest cached byte
-        self.memory.write_watch = self._note_code_write
+        #: The last-loaded program; the fast engine predecodes its segments.
+        self._program: Program | None = None
 
     def _install_tracer(self, tracer) -> None:
         """Resolve the tracer once; the step loop only tests booleans."""
@@ -203,6 +196,7 @@ class VaxCPU:
         self.pc = program.entry
         self._halted = False
         self._exit_code = None
+        self._program = program
         self.regs[SP] = self._stack_top
         self.regs[FP] = self._stack_top
         self.regs[AP] = self._stack_top
@@ -238,26 +232,24 @@ class VaxCPU:
         Exceeding the step budget raises :class:`StepLimitExceeded` with
         the partial stats attached.  ``max_instructions`` is the
         deprecated spelling of ``max_steps``.  ``engine`` selects the
-        execution path — ``"fast"`` (default) uses the per-PC operand
-        decode cache, ``"reference"`` re-parses every instruction; both
-        are differentially identical.  ``record`` opts this run into the
+        execution path — ``"fast"`` (default, the predecoded engine of
+        :mod:`repro.baselines.vax.engine`) or ``"reference"`` (the plain
+        ``step()`` loop, which re-parses every instruction); both are
+        differentially identical.  ``record`` opts this run into the
         persistent run ledger (``True``, a ledger root path, or a
         :class:`~repro.obs.ledger.Ledger`); ``None`` defers to
         ``$REPRO_LEDGER``.  ``uarch`` opts the run into the pipeline
         timing model (same forms as the RISC I ``run``); the resulting
         :class:`~repro.uarch.pipeline.PipelineStats` is attached as
-        ``result.pipeline``.
+        ``result.pipeline``.  Measuring keeps the fast engine on its
+        batched loop, which hands the model each retire's PC and cycles.
         """
         import time as _time
 
         limit = resolve_max_steps(max_instructions, max_steps)
         if tracer is not None:
             self._install_tracer(tracer)
-        use_cache_before = self._use_cache
-        # ``decode_cache=False`` at construction is a hard off-switch;
-        # otherwise the engine selection decides
         engine_name = resolve_engine(engine)
-        self._use_cache = use_cache_before and engine_name == "fast"
         probe = None
         if uarch is not None and uarch is not False:
             from repro.uarch import PipelineModel, attach_pipeline, resolve_uarch
@@ -268,8 +260,13 @@ class VaxCPU:
             )
         started = _time.perf_counter()
         try:
-            for _ in range(limit):
-                self.step()
+            if engine_name == "fast" and self._program is not None:
+                from repro.baselines.vax.engine import VaxEngine
+
+                VaxEngine(self).run(limit)
+            else:
+                for _ in range(limit):
+                    self.step()
             raise StepLimitExceeded(limit, pc=self.pc, stats=self.stats)
         except _Halt as halt:
             wall_s = _time.perf_counter() - started
@@ -291,58 +288,30 @@ class VaxCPU:
             )
             return result
         finally:
-            self._use_cache = use_cache_before
             if probe is not None:
                 from repro.uarch import detach_pipeline
 
                 detach_pipeline(self, probe)
 
     def step(self) -> None:
+        """Fetch, parse and execute one instruction: the reference path."""
         pc = self.pc
-        entry = self._decode_cache.get(pc) if self._use_cache else None
-        if entry is not None:
-            info, length, cycles, evaluators, branch_disp = entry
-            self.pc = pc + length
-            self.stats.inst_bytes += length
-            # specifier side effects (autoincrement/autodecrement) and
-            # register-relative addresses are applied per execution, in
-            # specifier order, exactly as a fresh parse would
-            operands = [evaluate() for evaluate in evaluators]
-        else:
-            opcode = self._fetch(1)
-            info = BY_OPCODE.get(opcode)
-            if info is None:
-                raise Trap(
-                    TrapKind.ILLEGAL_INSTRUCTION, f"opcode {opcode:#04x}", pc=self.pc
-                )
-            cycles = self.timing.base_cycles[info.kind]
-            operands = []
-            evaluators = []
-            branch_disp: int | None = None
-            for spec in info.operands:
-                if spec.access == "b":
-                    branch_disp = _signed(self._fetch(2), 16)
-                else:
-                    evaluate, mode_family = self._predecode_operand(spec.width)
-                    cycles += self.timing.specifier_cycles[mode_family]
-                    evaluators.append(evaluate)
-                    # evaluated here, mid-parse, so side effects land at
-                    # the same point as the historical eager decoder
-                    operands.append(evaluate())
-            if self._use_cache:
-                self._decode_cache[pc] = (
-                    info,
-                    self.pc - pc,
-                    cycles,
-                    tuple(evaluators),
-                    branch_disp,
-                )
-                if pc < self._cache_lo:
-                    self._cache_lo = pc
-                if self.pc > self._cache_hi:
-                    self._cache_hi = self.pc
+        opcode = self._fetch(1)
+        info = BY_OPCODE.get(opcode)
+        if info is None:
+            raise Trap(TrapKind.ILLEGAL_INSTRUCTION, f"opcode {opcode:#04x}", pc=self.pc)
+        cycles = self.timing.base_cycles[info.kind]
+        operands = []
+        branch_disp: int | None = None
+        for spec in info.operands:
+            if spec.access == "b":
+                branch_disp = _signed(self._fetch(2), 16)
+            else:
+                operand, mode_family = self._decode_operand(spec.width)
+                cycles += self.timing.specifier_cycles[mode_family]
+                operands.append(operand)
         if self.on_execute is not None:
-            self.on_execute(pc, info, operands, branch_disp)
+            self.on_execute(pc, decode(self.memory._bytes, pc))
         reads_before = self.memory.stats.data_reads
         writes_before = self.memory.stats.data_writes
         try:
@@ -368,12 +337,7 @@ class VaxCPU:
     # -- snapshot / restore ------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """Complete architectural state, JSON-safe and bit-exact.
-
-        The operand decode cache is *not* state — it is rebuilt on demand
-        and cleared by :meth:`restore` (the restored memory may hold
-        different instruction bytes).
-        """
+        """Complete architectural state, JSON-safe and bit-exact."""
         return {
             "schema": SNAPSHOT_SCHEMA_VERSION,
             "machine": self.name,
@@ -396,7 +360,7 @@ class VaxCPU:
 
     def restore(self, state: dict) -> None:
         """Install a :meth:`snapshot`; the register list and memory bytes
-        are updated in place (cached operand evaluators hold references)."""
+        are updated in place."""
         if state.get("machine") != self.name:
             raise ValueError(
                 f"snapshot is for machine {state.get('machine')!r}, not {self.name!r}"
@@ -424,9 +388,6 @@ class VaxCPU:
         self.memory.stats.inst_fetches = memory["inst_fetches"]
         self.memory.stats.data_reads = memory["data_reads"]
         self.memory.stats.data_writes = memory["data_writes"]
-        self._decode_cache.clear()
-        self._cache_lo = self.memory.size
-        self._cache_hi = 0
 
     # -- instruction stream ------------------------------------------------------
 
@@ -436,76 +397,42 @@ class VaxCPU:
         self.stats.inst_bytes += width
         return value
 
-    def _predecode_operand(self, width: int):
-        """Parse one operand specifier into a reusable evaluator.
+    def _decode_operand(self, width: int) -> tuple[_Operand, str]:
+        """Parse and evaluate one specifier: ``(operand, mode family)``.
 
-        Returns ``(evaluate, mode_family)``.  The evaluator produces this
-        specifier's :class:`_Operand` for one execution; modes whose value
-        depends on register state (deferred, displacement, autoincrement,
-        autodecrement) re-read — and for the auto modes, re-modify — the
-        register each time, so replaying a cached parse is
-        indistinguishable from a fresh one.  Static modes (literal,
-        register, immediate, absolute) share one read-only operand.
+        Evaluation applies the autoincrement/autodecrement side effects
+        here, mid-parse, in specifier order.
         """
         regs = self.regs
         spec = self._fetch(1)
         if spec < 0x40:
-            operand = _Operand("imm", spec)
-            return (lambda: operand), "literal"
+            return _Operand("imm", spec), "literal"
         mode = spec >> 4
         reg = spec & 0xF
         if mode == Mode.REGISTER:
-            operand = _Operand("reg", reg)
-            return (lambda: operand), "register"
+            return _Operand("reg", reg), "register"
         if mode == Mode.DEFERRED:
-            return (lambda: _Operand("mem", regs[reg])), "deferred"
+            return _Operand("mem", regs[reg]), "deferred"
         if mode == Mode.AUTODEC:
-            def evaluate():
-                regs[reg] = (regs[reg] - width) & WORD
-                return _Operand("mem", regs[reg])
-
-            return evaluate, "autodec"
+            regs[reg] = (regs[reg] - width) & WORD
+            return _Operand("mem", regs[reg]), "autodec"
         if mode == Mode.AUTOINC:
             if reg == 15:  # immediate
-                operand = _Operand("imm", self._fetch(width))
-                return (lambda: operand), "immediate"
-
-            def evaluate():
-                address = regs[reg]
-                regs[reg] = (address + width) & WORD
-                return _Operand("mem", address)
-
-            return evaluate, "autoinc"
+                return _Operand("imm", self._fetch(width)), "immediate"
+            address = regs[reg]
+            regs[reg] = (address + width) & WORD
+            return _Operand("mem", address), "autoinc"
         if mode == Mode.ABSOLUTE and reg == 15:
-            operand = _Operand("mem", self._fetch(4))
-            return (lambda: operand), "absolute"
+            return _Operand("mem", self._fetch(4)), "absolute"
         if mode in (Mode.DISP8, Mode.DISP16, Mode.DISP32):
             size = {Mode.DISP8: 1, Mode.DISP16: 2, Mode.DISP32: 4}[Mode(mode)]
             disp = _signed(self._fetch(size), size * 8)
-            return (lambda: _Operand("mem", (regs[reg] + disp) & WORD)), "disp"
+            return _Operand("mem", (regs[reg] + disp) & WORD), "disp"
         raise Trap(TrapKind.ILLEGAL_INSTRUCTION, f"operand specifier {spec:#04x}", pc=self.pc)
-
-    def _decode_operand(self, width: int) -> tuple[_Operand, str]:
-        """Parse and evaluate one specifier (the historical eager form)."""
-        evaluate, mode_family = self._predecode_operand(width)
-        return evaluate(), mode_family
-
-    def _note_code_write(self, address: int, width: int = 4) -> None:
-        """Drop cached decodings when a store may have touched one.
-
-        Stores land almost exclusively in stack/heap space far above the
-        code, so the common case is two comparisons; a hit (self-modifying
-        code) clears the whole cache rather than tracking per-instruction
-        extents.
-        """
-        if address < self._cache_hi and address + width > self._cache_lo:
-            self._decode_cache.clear()
-            self._cache_lo = self.memory.size
-            self._cache_hi = 0
 
     # -- operand access -----------------------------------------------------------
 
-    def _read(self, operand: _Operand, width: int, signed: bool = False) -> int:
+    def _read(self, operand: _Operand, width: int) -> int:
         if operand.kind == "imm":
             value = operand.value
         elif operand.kind == "reg":
@@ -515,8 +442,6 @@ class VaxCPU:
             self.stats.data_reads += 1
             if self._trace_mem:
                 self.tracer.mem_ref(self.stats.cycles, self.pc, operand.value, "r", width)
-        if signed:
-            value = _signed(value, width * 8) & WORD
         return value & WORD if width == 4 else value
 
     def _write(self, operand: _Operand, value: int, width: int) -> None:
@@ -533,7 +458,7 @@ class VaxCPU:
             return
         address = operand.value
         if address >= MMIO_BASE:
-            self._mmio_store(address, value, width)
+            self._mmio_store(address, value, width, self.pc)
             return
         self.memory.write(address, value, width)
         self.stats.data_writes += 1
@@ -545,14 +470,21 @@ class VaxCPU:
             raise Trap(TrapKind.ILLEGAL_INSTRUCTION, "address operand must reference memory")
         return operand.value
 
-    def _mmio_store(self, address: int, value: int, width: int = 4) -> None:
+    def _mmio_store(
+        self, address: int, value: int, width: int = 4, pc: int | None = None
+    ) -> None:
+        """A store at or above :data:`MMIO_BASE`; ``pc`` (default: the
+        current PC) is the address the MEM_REF event and a trap report —
+        the fast engine passes the storing instruction's end."""
+        if pc is None:
+            pc = self.pc
         self.stats.data_writes += 1
         self.memory.stats.data_writes += 1  # charged like any other store
         # emitted before the store takes effect so the halting store (and
         # a trapping one) still appears in the trace — keeping the MEM_REF
         # stream in lockstep with the data_writes counter
         if self._trace_mem:
-            self.tracer.mem_ref(self.stats.cycles, self.pc, address, "w", width)
+            self.tracer.mem_ref(self.stats.cycles, pc, address, "w", width)
         if address == MMIO_PUTCHAR:
             self._console.append(chr(value & 0xFF))
         elif address == MMIO_PUTINT:
@@ -560,9 +492,7 @@ class VaxCPU:
         elif address == MMIO_HALT:
             self._halt(_signed(value))
         else:
-            raise Trap(
-                TrapKind.BUS_ERROR, f"unknown MMIO address {address:#x}", pc=self.pc
-            )
+            raise Trap(TrapKind.BUS_ERROR, f"unknown MMIO address {address:#x}", pc=pc)
 
     # -- flags ----------------------------------------------------------------------
 

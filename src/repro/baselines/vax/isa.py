@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import typing
 
 
 class Mode(enum.IntEnum):
@@ -131,3 +132,93 @@ BRANCH_CONDITIONS = {
     "bgtru": lambda n, z, v, c: not (c or z),
     "bgequ": lambda n, z, v, c: not c,
 }
+
+
+class VaxInstruction(typing.NamedTuple):
+    """One statically decoded instruction: what ``on_execute`` observers
+    see, and what the predecoded engine specializes.
+
+    ``operands`` holds one ``(mode family, register, value)`` triple per
+    non-branch operand: the family names the addressing mode as the
+    timing model prices it (``literal``, ``immediate``, ``register``,
+    ``deferred``, ``autoinc``, ``autodec``, ``disp``, ``absolute``);
+    ``register`` is the specifier's register (``None`` for literals,
+    immediates and absolute addresses); ``value`` is the literal or
+    immediate value, the absolute address or the displacement.
+    """
+
+    info: VaxOpcodeInfo
+    length: int
+    operands: tuple
+    branch_disp: int | None
+
+
+#: bytes of the longest encodable instruction: opcode plus three operand
+#: specifiers with 32-bit displacements
+MAX_LENGTH = 1 + 3 * 5
+
+_DISP_SIZES = {Mode.DISP8: 1, Mode.DISP16: 2, Mode.DISP32: 4}
+
+
+def _signed_bytes(raw: bytes) -> int:
+    return int.from_bytes(raw, "big", signed=True)
+
+
+def decode(code, pc: int) -> VaxInstruction | None:
+    """Parse the instruction starting at ``pc`` in ``code`` (a memory
+    image) without executing it; ``None`` if no valid instruction starts
+    there (unknown opcode, unknown specifier, or bytes past the image)."""
+    size = len(code)
+    if not 0 <= pc < size:
+        return None
+    info = BY_OPCODE.get(code[pc])
+    if info is None:
+        return None
+    cursor = pc + 1
+    operands = []
+    branch_disp = None
+    for spec in info.operands:
+        if spec.access == "b":
+            if cursor + 2 > size:
+                return None
+            branch_disp = _signed_bytes(code[cursor : cursor + 2])
+            cursor += 2
+            continue
+        if cursor >= size:
+            return None
+        byte = code[cursor]
+        cursor += 1
+        if byte < 0x40:
+            operands.append(("literal", None, byte))
+            continue
+        mode = byte >> 4
+        reg = byte & 0xF
+        if mode == Mode.REGISTER:
+            operands.append(("register", reg, None))
+        elif mode == Mode.DEFERRED:
+            operands.append(("deferred", reg, None))
+        elif mode == Mode.AUTODEC:
+            operands.append(("autodec", reg, None))
+        elif mode == Mode.AUTOINC and reg == PC:
+            if cursor + spec.width > size:
+                return None
+            operands.append(
+                ("immediate", None, int.from_bytes(code[cursor : cursor + spec.width], "big"))
+            )
+            cursor += spec.width
+        elif mode == Mode.AUTOINC:
+            operands.append(("autoinc", reg, None))
+        elif mode == Mode.ABSOLUTE and reg == PC:
+            if cursor + 4 > size:
+                return None
+            operands.append(("absolute", None, int.from_bytes(code[cursor : cursor + 4], "big")))
+            cursor += 4
+        elif mode in _DISP_SIZES:
+            width = _DISP_SIZES[Mode(mode)]
+            if cursor + width > size:
+                return None
+            operands.append(("disp", reg, _signed_bytes(code[cursor : cursor + width])))
+            cursor += width
+        else:
+            return None
+    return VaxInstruction(info, cursor - pc, tuple(operands), branch_disp)

@@ -8,7 +8,10 @@ profiler sit on top of it — and none of that work depends on anything but
 the instruction word itself.
 
 This engine translates each instruction word of the loaded program, once,
-into a specialized closure:
+into a specialized closure.  It is the RISC I front end of the skeleton
+in :mod:`repro.machine.engine` (handler table, lazy translation,
+invalidation, count flushing, retire-sink protocol), which the VAX engine
+(:mod:`repro.baselines.vax.engine`) shares:
 
 * operand register numbers are resolved to per-window physical-index
   tables (one list lookup per access instead of three calls);
@@ -16,8 +19,8 @@ into a specialized closure:
   amounts are sign-extended and folded at translation time;
 * the per-opcode variant (immediate vs. register operand, SCC vs. not,
   jump condition) is chosen at translation time, not per step;
-* timing cost and opcode identity are kept in parallel arrays so the
-  run-to-halt loop does no dict or attribute lookups per step.
+* timing cost and opcode identity are recorded per translated word, so
+  the batched loop touches only the handler and count arrays per step.
 
 Exactness is the contract, not a goal: the engine must produce the same
 exit code, output, every :class:`~repro.core.stats.ExecutionStats` field,
@@ -46,10 +49,12 @@ out-of-range or misaligned PCs fall back to ``cpu.step()`` for that one
 step — semantics by construction.
 
 Self-modifying code is safe: stores from translated closures check the
-predecoded range inline, and a :attr:`Memory.write_watch` hook (installed
-for the duration of the run) catches every other accounted write — window
-spills and fallback-step stores included — invalidating the affected
-word so it is re-translated on next execution.
+predecoded range inline, and the skeleton's :attr:`Memory.write_watch`
+hook (installed for the duration of the run, chaining any watch already
+there) catches every other accounted write — window spills and
+fallback-step stores included — invalidating the affected word so it is
+re-translated on next execution.  With an outside watch chained, every
+closure store reports to it.
 """
 
 from __future__ import annotations
@@ -61,6 +66,7 @@ from repro.isa.conditions import Cond, ConditionCodes, cond_holds
 from repro.isa.encoding import EncodingError, Instruction, decode
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import physical_index
+from repro.machine.engine import EngineSkeleton
 from repro.machine.memory import MemoryError_
 from repro.machine.traps import Trap, TrapKind
 
@@ -77,86 +83,38 @@ def _window_maps(num_windows: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-class PredecodedEngine:
+class PredecodedEngine(EngineSkeleton):
     """One fast run-to-halt executor bound to a :class:`~repro.core.cpu.CPU`.
 
-    Built fresh per ``run()`` call (translation is lazy and costs far less
-    than the millions of steps it serves), covering the address range
-    spanned by the loaded program's segments.
+    The RISC I front end of :class:`~repro.machine.engine.EngineSkeleton`:
+    one slot per aligned word of the loaded program's segments.
     """
 
+    shift = 2
+    max_length = 4
+    mix_field = "by_opcode"
+    trace_flags = (
+        "_trace_retire", "_trace_mem", "_trace_flow", "_trace_window", "_trace_trap",
+    )
+
     def __init__(self, cpu):
-        self.cpu = cpu
-        segments = cpu._program.segments
-        base = min(segment.base for segment in segments) & ~3
-        end = max(segment.base + len(segment.data) for segment in segments)
-        end = min((end + 3) & ~3, cpu.memory.size)
-        self.base = base
-        self.span = max(end - base, 0)
-        size = self.span >> 2
-        #: per-word translation state: a closure, ``False`` (permanently
-        #: interpret via ``cpu.step()``) or ``None`` (translate on demand)
-        self.handlers: list = [None] * size
-        self.costs = [0] * size
-        self.ops: list = [None] * size
-        self.names = [""] * size
-        self.insts: list = [None] * size
-        #: batched-loop execution counts, folded into stats on flush
-        self.counts = [0] * size
+        super().__init__(cpu)
         self.maps = _window_maps(cpu.regs.num_windows)
-        #: the retire sink the batched loop feeds (see :meth:`run`)
-        self._sink = None
-
-    # -- bookkeeping -------------------------------------------------------
-
-    def _flush(self, idx: int) -> None:
-        """Fold one word's batched executions into the CPU stats."""
-        count = self.counts[idx]
-        if count:
-            self.counts[idx] = 0
-            stats = self.cpu.stats
-            stats.instructions += count
-            stats.cycles += count * self.costs[idx]
-            stats.by_opcode[self.ops[idx]] += count
-
-    def _flush_all(self) -> None:
-        for idx, count in enumerate(self.counts):
-            if count:
-                self._flush(idx)
-
-    def _note_write(self, address: int, width: int = 4) -> None:
-        """Invalidate the predecoded word covering a written address."""
-        offset = address - self.base
-        if 0 <= offset < self.span:
-            idx = offset >> 2
-            self._flush(idx)
-            self.handlers[idx] = None
 
     # -- translation -------------------------------------------------------
 
-    def _compile_word(self, idx: int):
-        """Translate the word at slot ``idx``; returns its handler."""
-        self._flush(idx)  # credit any batched executions of the old word
-        cpu = self.cpu
-        address = self.base + (idx << 2)
-        word = int.from_bytes(cpu.memory._bytes[address : address + 4], "big")
+    def _decode(self, address: int):
+        word = int.from_bytes(self.cpu.memory._bytes[address : address + 4], "big")
         try:
-            inst = decode(word)
+            return decode(word)
         except EncodingError:
             # the reference loop raises EncodingError from the decoder;
             # falling back reproduces that exactly
-            self.handlers[idx] = False
-            return False
-        handler = self._make_handler(inst, address)
-        self.handlers[idx] = handler
-        if handler is not False:
-            self.costs[idx] = cpu.timing.instruction_cycles(inst.opcode)
-            self.ops[idx] = inst.opcode
-            self.names[idx] = inst.opcode.name
-            self.insts[idx] = inst
-            if self._sink is not None:
-                self._sink.note_inst(address, inst)
-        return handler
+            return None
+
+    def _describe(self, inst: Instruction) -> tuple:
+        op = inst.opcode
+        return self.cpu.timing.instruction_cycles(op), op, op.name, 4
 
     def _make_handler(self, inst: Instruction, pc: int):
         """Build the specialized closure for one decoded instruction.
@@ -345,8 +303,7 @@ class PredecodedEngine:
             value_map = maps[dest]  # source operand; r0 reads physical 0 (= 0)
             value_mask = (1 << (width * 8)) - 1
             mmio_base = 0x7F000000
-            code_base = self.base
-            code_end = self.base + self.span
+            code_base, code_end = self._store_range()
             note_write = self._note_write
 
             def run():
@@ -372,7 +329,7 @@ class PredecodedEngine:
                 )
                 mem_stats.data_writes += 1
                 if code_base <= address < code_end:
-                    note_write(address, width)  # self-modifying code
+                    note_write(address, width)  # self-modifying code, watches
                 if cpu._trace_mem:
                     cpu.tracer.mem_ref(stats.cycles, pc, address, "w", width)
 
@@ -511,39 +468,6 @@ class PredecodedEngine:
 
     # -- the run loops -----------------------------------------------------
 
-    def run(self, limit: int) -> None:
-        """Execute up to ``limit`` steps; raises on halt or trap.
-
-        Returns normally only when the step budget ran out — the CPU's
-        ``run()`` wrapper turns that into :class:`StepLimitExceeded`.
-        """
-        cpu = self.cpu
-        traced = (
-            cpu._trace_retire
-            or cpu._trace_mem
-            or cpu._trace_flow
-            or cpu._trace_window
-            or cpu._trace_trap
-        )
-        hook = cpu.on_execute
-        sink = None
-        if hook is not None and not traced:
-            batch_sink = getattr(hook, "batch_sink", None)
-            if batch_sink is not None:
-                sink = batch_sink()
-        memory = cpu.memory
-        previous_watch = memory.write_watch
-        memory.write_watch = self._note_write
-        try:
-            if traced or (hook is not None and sink is None):
-                self._run_exact(limit)
-            else:
-                self._sink = sink
-                self._run_batched(limit, sink)
-        finally:
-            self._sink = None
-            memory.write_watch = previous_watch
-
     def _run_batched(self, limit: int, sink=None) -> None:
         """The no-observer loop: stats are batched per predecoded word.
 
@@ -561,7 +485,7 @@ class PredecodedEngine:
         counts = self.counts
         base = self.base
         span = self.span
-        compile_word = self._compile_word
+        translate = self._translate
         if sink is not None:
             stream = sink.stream
             retire = stream.append
@@ -594,7 +518,7 @@ class PredecodedEngine:
                     idx = offset >> 2
                     handler = handlers[idx]
                     if handler is None:
-                        handler = compile_word(idx)
+                        handler = translate(idx)
                 else:
                     handler = False
                 if handler is False:
@@ -661,12 +585,12 @@ class PredecodedEngine:
         trace_trap = cpu._trace_trap
         handlers = self.handlers
         costs = self.costs
-        ops = self.ops
+        keys = self.keys
         names = self.names
         insts = self.insts
         base = self.base
         span = self.span
-        compile_word = self._compile_word
+        translate = self._translate
         pc = cpu.pc
         npc = cpu.npc
         last_pc = cpu._last_pc
@@ -688,7 +612,7 @@ class PredecodedEngine:
                     idx = offset >> 2
                     handler = handlers[idx]
                     if handler is None:
-                        handler = compile_word(idx)
+                        handler = translate(idx)
                 else:
                     handler = False
                 if handler is False:
@@ -716,7 +640,7 @@ class PredecodedEngine:
                 except MachineHalted:
                     stats.instructions += 1
                     stats.cycles += cost
-                    by_opcode[ops[idx]] += 1
+                    by_opcode[keys[idx]] += 1
                     if trace_retire:
                         tracer.retire(stats.cycles, pc, names[idx], cost)
                     raise
@@ -743,7 +667,7 @@ class PredecodedEngine:
                     pc, npc = npc, target
                 stats.instructions += 1
                 stats.cycles += cost
-                by_opcode[ops[idx]] += 1
+                by_opcode[keys[idx]] += 1
                 if trace_retire:
                     tracer.retire(stats.cycles, old_pc, names[idx], cost)
         finally:

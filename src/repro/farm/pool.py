@@ -96,6 +96,7 @@ def _preload_toolchain() -> None:
     every worker, every sweep.
     """
     import repro.baselines.vax.cpu  # noqa: F401
+    import repro.baselines.vax.engine  # noqa: F401
     import repro.cc.driver  # noqa: F401
     import repro.cc.irvm  # noqa: F401
     import repro.core.cpu  # noqa: F401

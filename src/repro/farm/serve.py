@@ -118,6 +118,8 @@ class FarmServer:
         #: open connection writers — force-closed after drain so idle
         #: keep-alive sockets can't stall ``Server.wait_closed()``
         self._connections: set[asyncio.StreamWriter] = set()
+        #: the task serving each open connection, awaited at shutdown
+        self._connection_tasks: set[asyncio.Task] = set()
         # Submissions run off-loop: a serial client executes the job inside
         # submit(), and even the pool path does blocking queue writes.
         self._executor = concurrent.futures.ThreadPoolExecutor(
@@ -380,6 +382,8 @@ class FarmServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self._connections.add(writer)
+        task = asyncio.current_task()
+        self._connection_tasks.add(task)
         try:
             while True:
                 try:
@@ -413,6 +417,7 @@ class FarmServer:
                     break
         finally:
             self._connections.discard(writer)
+            self._connection_tasks.discard(task)
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -468,12 +473,16 @@ class FarmServer:
             # stop accepting, finish what is in flight
             self._server.close()
             summary = await self._drain()
-            # idle keep-alive sockets would stall wait_closed(); drop them
+            # idle keep-alive sockets would stall wait_closed(); drop them,
+            # and let their handlers see EOF and finish — left pending,
+            # asyncio.run would cancel them mid-read and log each one
             for connection in list(self._connections):
                 try:
                     connection.close()
                 except Exception:
                     pass
+            if self._connection_tasks:
+                await asyncio.wait(list(self._connection_tasks), timeout=self.idle_timeout)
         self._executor.shutdown(wait=False)
         return summary
 

@@ -8,8 +8,8 @@ name      what it exercises
 ========  =========================================================
 risc-ref  RISC I plain ``step()`` interpreter (the semantics anchor)
 risc-fast RISC I :class:`~repro.core.engine.PredecodedEngine`
-vax-ref   VAX baseline with the per-PC operand decode cache OFF
-vax-fast  VAX baseline with the decode cache ON
+vax-ref   VAX baseline plain ``step()`` interpreter
+vax-fast  VAX baseline :class:`~repro.baselines.vax.engine.VaxEngine`
 ir        the IR-level interpreter (:mod:`repro.cc.irvm`)
 ========  =========================================================
 
@@ -35,7 +35,7 @@ import hashlib
 from typing import Any
 
 from repro.cc import irvm
-from repro.cc.driver import CompileError, compile_program, compile_to_ir, run_compiled
+from repro.cc.driver import CompileError, compile_program, run_compiled
 from repro.core.api import StepLimitExceeded
 from repro.fuzz.gen import DEFAULT_PROFILE, generate_source
 from repro.machine.traps import Trap
@@ -53,7 +53,7 @@ ORACLES = ("risc-ref", "risc-fast", "vax-ref", "vax-fast", "ir")
 #: Same-machine pairs: full bit-identical contract.
 ENGINE_PAIRS = (
     ("risc-ref", "risc-fast", "risc1: reference vs predecoded engine"),
-    ("vax-ref", "vax-fast", "vax: decode cache off vs on"),
+    ("vax-ref", "vax-fast", "vax: reference vs predecoded engine"),
 )
 
 #: Cross-machine pairs: exit code + console only.
@@ -295,12 +295,15 @@ def crosscheck_source(
     profile: str | None = None,
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> CrossCheckReport:
-    """Compile ``source`` once per target and cross-check all five oracles."""
+    """Compile ``source`` once per target and cross-check all five oracles.
+
+    The IR oracle runs the RISC I compilation's IR: the backends only
+    read the IR, so it is the program the front end produced.
+    """
     report = CrossCheckReport(
         source_sha=_sha(source), seed=seed, profile=profile, max_steps=max_steps
     )
     try:
-        ir_program = compile_to_ir(source)
         risc = compile_program(source, target="risc1")
         vax = compile_program(source, target="cisc")
     except CompileError as exc:
@@ -313,7 +316,7 @@ def crosscheck_source(
         "risc-fast": _run_machine_oracle(risc, "fast", max_steps),
         "vax-ref": _run_machine_oracle(vax, "reference", max_steps),
         "vax-fast": _run_machine_oracle(vax, "fast", max_steps),
-        "ir": _run_ir_oracle(ir_program),
+        "ir": _run_ir_oracle(risc.ir),
     }
 
     for left, right, check in ENGINE_PAIRS:

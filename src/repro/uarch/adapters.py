@@ -29,18 +29,19 @@ position of the next retire.  Branch outcomes are read from the retired
 PC stream: a conditional jump at ``P`` was taken iff the second retire
 after it (branch, slot, then resolved path) is not at ``P + 8``.
 
-**VAX** (:class:`VaxPipelineAdapter`) hangs off ``VaxCPU.on_execute``.
-Its per-step work is two appends: the instruction's classification
-(computed once per PC, dropped whenever a store hits classified code)
-and ``stats.cycles`` as it retires.  An instruction's exact cycle cost
-(base + specifier + memory-traffic cycles) is the difference to the next
-retire's stamp, so the newest retire stays in the buffer until its
-successor arrives; that cost becomes the EX/MEM occupancy, modelling the
-microcode serializing the pipe.  Conditional branches resolve one retire
-later against the recorded fall-through PC.  Register reads/writes come
-from pairing operand access codes (``r``/``w``/``m``) with register-mode
-operands; memory operands' address registers were consumed by the
-specifier evaluators and are not re-derived (address-generation hazards
+**VAX** (:class:`VaxPipelineAdapter`) records each retire as its PC
+plus its exact cycle cost (base + specifier + memory-traffic cycles),
+which becomes the EX/MEM occupancy, modelling the microcode serializing
+the pipe.  When it is the only hook, the fast engine's batched loop
+appends both itself (the cost is the instruction's static cycles plus
+its own memory references) and hands it each instruction it translates;
+otherwise the adapter's ``__call__`` on ``VaxCPU.on_execute`` appends
+the PC and stamps ``stats.cycles``, and a retire's cost is the distance
+to the next stamp.  Each PC is classified once from its decoded
+instruction.  Conditional branches resolve one retire later against the
+fall-through PC.  Register reads/writes come from pairing operand
+access codes (``r``/``w``/``m``) with register-mode operands; memory
+operands' address registers are not derived (address-generation hazards
 are out of scope for a baseline whose pipe is already serialized by
 microcode occupancy).
 
@@ -55,8 +56,6 @@ identically, so differential parity holds.
 """
 
 from __future__ import annotations
-
-from operator import sub
 
 from repro.isa.conditions import Cond
 from repro.isa.opcodes import Opcode
@@ -302,7 +301,22 @@ class RiscPipelineAdapter:
 
 
 class VaxPipelineAdapter:
-    """Feeds one VAX run's retired stream to one or more models."""
+    """Feeds one VAX run's retired stream to one or more models.
+
+    Installed as (or chained into) ``cpu.on_execute``.  The buffer is two
+    parallel lists: :attr:`stream` holds each retire's PC and
+    :attr:`occupancy` its exact cycles.  The fast engine fills both
+    through :meth:`batch_sink` when nothing else observes the run;
+    otherwise :meth:`__call__` appends the PC and stamps ``stats.cycles``,
+    and the retire's cycles are the distance to the next stamp
+    (:meth:`settle`).  Classification is per PC, from the decoded
+    instruction's operands, and is redone when a different instruction
+    shows up at a known PC (self-modifying code), after the retires of
+    the old one are accounted under it.
+    """
+
+    #: buffered retires at which the fast engine calls :meth:`flush`
+    chunk_size = CHUNK
 
     def __init__(self, cpu, models):
         from repro.baselines.vax.isa import BRANCH_CONDITIONS
@@ -311,111 +325,116 @@ class VaxPipelineAdapter:
         self.models = list(models)
         self.prev = None
         self._conditional = frozenset(BRANCH_CONDITIONS) - {"brb", "brw"}
-        #: the buffered retires: their classifications and ``stats.cycles``
-        #: as each fired its hook
-        self.stream: list = []
-        self._stamps: list[int] = []
-        #: pc -> classification, and the byte range those PCs' code spans
-        self._classes: dict = {}
-        self._lo = cpu.memory.size
-        self._hi = 0
-        self._watch_prev = None
+        #: the buffered retires' PCs, and the cycles of each one that has
+        #: finished (the stream may hold one more, still executing)
+        self.stream: list[int] = []
+        self.occupancy: list[int] = []
+        #: ``stats.cycles`` when the executing retire fired the hook
+        self._stamp = None
+        #: pc -> the decoded instruction the retires at pc executed
+        self._insts: dict = {}
+        self._classes = _Classes(self._classify)
         self._retire = RetireStream(resolve_after=1, has_loads=False)
         self._eager = any(model.traces_stalls for model in self.models)
 
-    def _classify(self, pc: int, info, operands, branch_disp) -> tuple:
+    def _classify(self, pc: int) -> tuple:
         from repro.baselines.vax.isa import SP
 
+        inst = self._insts[pc]
+        info = inst.info
         reads: list = []
         writes: list = []
         specs = [spec for spec in info.operands if spec.access != "b"]
-        for spec, operand in zip(specs, operands):
-            if operand.kind != "reg":
+        for spec, (family, reg, _) in zip(specs, inst.operands):
+            if family != "register":
                 continue
             if spec.access in ("r", "m"):
-                reads.append(operand.value)
+                reads.append(reg)
             if spec.access in ("w", "m"):
-                writes.append(operand.value)
+                writes.append(reg)
         if info.kind in ("push", "calls", "ret"):
             reads.append(SP)
             writes.append(SP)
-        # cpu.pc already points past this instruction (the fall-through)
-        end = self.cpu.pc
-        entry = retired(
+        end = pc + inst.length  # the fall-through
+        disp = inst.branch_disp
+        return retired(
             pc,
             tuple(reads),
             tuple(writes),
             conditional=info.mnemonic in self._conditional,
-            static_target=(end + branch_disp) & 0xFFFFFFFF if branch_disp is not None else None,
+            static_target=(end + disp) & 0xFFFFFFFF if disp is not None else None,
             fallthrough=end,
         )
-        self._classes[pc] = entry
-        self._lo = min(self._lo, pc)
-        self._hi = max(self._hi, end)
-        return entry
 
-    def _note_write(self, address: int, width: int = 4) -> None:
-        """Drop every classification when a store hits classified code."""
-        if self._watch_prev is not None:
-            self._watch_prev(address, width)
-        if address < self._hi and address + width > self._lo:
-            self._classes.clear()
+    # -- feeding -----------------------------------------------------------
+
+    def batch_sink(self):
+        """The sink the fast engine's batched loop may fill, or ``None``.
+
+        Only an adapter that is the run's sole hook, with no model
+        tracing stalls (which must interleave per retire), takes the
+        batched path.
+        """
+        return self if self.prev is None and not self._eager else None
+
+    def note_inst(self, pc: int, inst) -> None:
+        """Record the instruction the retires at ``pc`` execute.
+
+        A different instruction at a known PC (self-modifying code)
+        first accounts the buffered retires under the old one.
+        """
+        old = self._insts.get(pc)
+        if old is not None and old != inst:
+            self.flush()
+            self._classes.pop(pc, None)
             self._retire.generation += 1
-            self._lo = self.cpu.memory.size
-            self._hi = 0
+        self._insts[pc] = inst
 
-    def __call__(self, pc: int, info, operands, branch_disp) -> None:
+    def settle(self) -> None:
+        """Close the retire whose hook fired last: its cycles are the
+        ``stats.cycles`` it added."""
+        if self._stamp is not None:
+            self.occupancy.append(self.cpu.stats.cycles - self._stamp)
+            self._stamp = None
+
+    def __call__(self, pc: int, inst) -> None:
         if self.prev is not None:
-            self.prev(pc, info, operands, branch_disp)
-        entry = self._classes.get(pc)
-        if entry is None:
-            entry = self._classify(pc, info, operands, branch_disp)
-        stream = self.stream
-        stream.append(entry)
-        self._stamps.append(self.cpu.stats.cycles)
-        if self._eager or len(stream) > CHUNK:
+            self.prev(pc, inst)
+        self.settle()
+        if self._insts.get(pc) != inst:
+            self.note_inst(pc, inst)
+        self.stream.append(pc)
+        self._stamp = self.cpu.stats.cycles
+        if self._eager or len(self.occupancy) >= CHUNK:
             self.flush()
 
-    def flush(self, final: bool = False) -> None:
-        """Hand the buffered retires to every model as one chunk.
-
-        The newest retire's cost is known only once its successor fires
-        (or the run ends, with ``final``), so it stays buffered.
-        """
-        stream = self.stream
-        stamps = self._stamps
-        count = len(stream) if final else len(stream) - 1
-        if count <= 0:
+    def flush(self) -> None:
+        """Hand the finished buffered retires to every model as one chunk."""
+        occupancy = self.occupancy
+        count = len(occupancy)
+        if not count:
             return
-        if final:
-            stamps.append(self.cpu.stats.cycles)
-        occupancy = [
-            cycles if cycles > 0 else 1 for cycles in map(sub, stamps[1:count + 1], stamps)
-        ]
-        entries = stream[:count]
+        stream = self.stream
+        entries = list(map(self._classes.__getitem__, stream[:count]))
         del stream[:count]
-        del stamps[:count]
-        chunk = self._retire.chunk(entries, occupancy)
+        # the engine holds on to these lists: empty them in place
+        chunk = self._retire.chunk(entries, [cycles or 1 for cycles in occupancy])
+        occupancy.clear()
         for model in self.models:
             model.consume(chunk)
 
     def finalize(self):
-        self.flush(final=True)
-        self._stamps = []
+        self.settle()
+        self.flush()
         return [model.finalize() for model in self.models]
 
     def attach(self) -> None:
         cpu = self.cpu
         self.prev = cpu.on_execute
         cpu.on_execute = self
-        self._watch_prev = cpu.memory.write_watch
-        cpu.memory.write_watch = self._note_write
 
     def detach(self) -> None:
-        cpu = self.cpu
-        cpu.on_execute = self.prev
-        if cpu.memory.write_watch == self._note_write:
-            cpu.memory.write_watch = self._watch_prev
+        self.cpu.on_execute = self.prev
 
 
 def attach_pipeline(cpu, models):

@@ -393,6 +393,42 @@ class TestDrain:
         assert drained["ok"] is True
         assert drained["incomplete"] == 0
 
+    def test_sigterm_with_idle_keep_alive_connections_is_quiet(self, tmp_path):
+        """Idle keep-alive sockets at SIGTERM end cleanly: exit 0, and no
+        asyncio traceback for the cancelled reads on stderr."""
+        env = dict(
+            os.environ,
+            PYTHONPATH=REPO_SRC,
+            REPRO_CACHE_DIR=str(tmp_path / "cache"),
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.farm", "serve", "--port", "0",
+             "--jobs", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+            cwd=str(tmp_path),
+        )
+        connections = []
+        try:
+            boot = json.loads(proc.stdout.readline())["serving"]
+            for _ in range(2):
+                sock = socket.create_connection((boot["host"], boot["port"]), timeout=30)
+                sock.sendall(
+                    b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: keep-alive\r\n\r\n"
+                )
+                assert b"200" in sock.recv(65536).split(b"\r\n", 1)[0]
+                connections.append(sock)  # left open and idle
+            proc.send_signal(signal.SIGTERM)
+            out, err = proc.communicate(timeout=120)
+        finally:
+            for sock in connections:
+                sock.close()
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate(timeout=30)
+        assert proc.returncode == 0, f"serve exited {proc.returncode}: {err}"
+        assert "Traceback" not in err, err
+        assert json.loads(out.strip().splitlines()[-1])["drained"]["ok"] is True
+
     def test_draining_server_rejects_new_posts(self, server):
         srv, base, holder = server
         holder["loop"].call_soon_threadsafe(srv.request_shutdown)
